@@ -860,17 +860,6 @@ impl LsmTree {
         Ok(())
     }
 
-    /// Merge the adjacent component range (oldest..newest indexes as of
-    /// this call). Annihilated records are garbage-collected; anti-matter
-    /// survives only if older components remain outside the merge (§2.2).
-    pub fn merge(&self, range: std::ops::Range<usize>) -> Result<(), StorageError> {
-        let guard = self.merge_lock.lock();
-        let disk = self.state.read().disk.clone();
-        assert!(range.end <= disk.len() && range.len() >= 2, "bad merge range");
-        let includes_oldest = range.start == 0;
-        self.merge_locked(&disk[range], includes_oldest, MergeTrigger::Manual, &guard)
-    }
-
     /// Build the merged component (INVALID; the caller decides whether it
     /// completes). Pure build: touches no tree state, so a fault here
     /// leaves nothing to clean up.
@@ -1264,7 +1253,7 @@ mod tests {
 
         // Merge C1..C2 only: the anti-matter must survive, because C0 still
         // holds the record it kills.
-        t.merge(1..3).unwrap();
+        t.merge_indices(&[1, 2]).unwrap();
         assert_eq!(t.components().len(), 2);
         assert_eq!(t.components()[1].num_antimatter(), 1);
         assert_eq!(t.get(&encode_u64_key(7)).unwrap(), None, "record must stay dead");

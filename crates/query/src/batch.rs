@@ -1,33 +1,31 @@
-//! The batched scan pipeline: scan → filter → project over chunks of
-//! records.
+//! The batched scan pipeline: scan → filter → project over batches of
+//! records, pulled from a `BatchSource`.
 //!
-//! Instead of materializing every scanned record into a full row before any
-//! operator sees it, the batched engine pulls ~4K payloads at a time and
-//! runs the scan in four columnar phases:
+//! `BatchScanner` is the only filter/materialize/`LIMIT` loop. Per batch:
 //!
-//! 1. **Eager decode** — only the early columns the scan filter actually
-//!    reads are evaluated, one [`PathBatch`] drive per payload, into
-//!    reusable column buffers.
-//! 2. **Filter** — the predicate is split at top-level `AND`s and each
+//! 1. **Filter** — the predicate is split at top-level `AND`s and each
 //!    conjunct refines a selection vector. Conjuncts of the shape
-//!    `col <op> const` over homogeneous `Int64`/`Double` columns run as
-//!    tight typed loops; everything else falls back to expression
-//!    evaluation over a reused scratch row (no per-row allocation either
-//!    way).
-//! 3. **Lazy decode** — the remaining early columns plus every late path
-//!    are evaluated only for selection-vector survivors, so a filtered-out
-//!    record never pays for the columns it would have needed.
-//! 4. **Emit** — surviving rows are assembled by *moving* values out of the
-//!    column buffers.
+//!    `col <op> const` over a column the source can show as homogeneous
+//!    `Int64`/`Double` run as tight typed loops; everything else is
+//!    evaluated over a reused scratch row holding only the columns the
+//!    leftovers read.
+//! 2. **Materialize** — the remaining output columns are gathered for
+//!    selection-vector survivors only, and rows are assembled by *moving*
+//!    values out of the column buffers.
+//! 3. **Stop early** — a `LIMIT` hint (when the plan allows one — see
+//!    [`crate::exec`]) ends the pull loop once enough rows survive; with no
+//!    scan filter it caps the pull itself, so `LIMIT 0` pulls nothing.
 //!
-//! A `LIMIT` hint (when the plan allows one — see
-//! [`crate::exec`]) stops the pull loop as soon as enough rows survive,
-//! instead of draining the snapshot.
+//! Two sources feed it: `DecodedSource` decodes a partition's merged
+//! snapshot scan, and `crate::columnar::AmaxSource` reads one at-rest
+//! amax component's column pages. Both count `rows_scanned` as records
+//! pulled, at batch granularity.
 
 use std::mem;
 
 use tc_adm::path::Path;
 use tc_adm::{AdmError, Value};
+use tc_columnar::DEF_PRESENT;
 use tc_lsm::iter::MergedScan;
 use tuple_compactor::{PathBatch, RecordDecoder};
 
@@ -35,61 +33,186 @@ use crate::exec::Row;
 use crate::expr::{CmpOp, Expr};
 use crate::plan::{AccessStrategy, ScanSpec};
 
-/// Records per scan chunk (the batched engine's unit of work).
+/// Records per scan batch (the batched engine's unit of work).
 pub const DEFAULT_BATCH_SIZE: usize = 4096;
 
-/// Run one partition's scan in batches. Returns the surviving rows;
-/// `scanned`/`bytes` count every record pulled from the snapshot.
-pub(crate) fn scan_batched(
-    decoder: &RecordDecoder,
-    iter: &mut MergedScan,
-    scan: &ScanSpec,
-    limit_hint: Option<usize>,
-    batch_size: usize,
-    scanned: &mut u64,
-    bytes: &mut u64,
-) -> Result<Vec<Row>, AdmError> {
-    let batch_size = batch_size.max(1);
-    let mut scanner = BatchScanner::new(decoder, scan);
-    let mut rows: Vec<Row> = Vec::new();
-    let mut payloads: Vec<Vec<u8>> = Vec::with_capacity(batch_size);
-    loop {
-        // With no scan filter every pulled record survives, so a LIMIT hint
-        // caps the pull itself; with a filter we can only cap post-filter.
-        let want = match (limit_hint, scan.filter.is_some()) {
-            (Some(k), false) => batch_size.min(k.saturating_sub(rows.len())),
-            _ => batch_size,
-        };
-        payloads.clear();
-        while payloads.len() < want {
-            match iter.next() {
-                Some((_, _, payload)) => {
-                    *scanned += 1;
-                    *bytes += payload.len() as u64;
-                    payloads.push(payload);
-                }
-                None => break,
-            }
-        }
-        if payloads.is_empty() {
-            break;
-        }
-        let exhausted = payloads.len() < want;
-        scanner.process_batch(&payloads, &mut rows)?;
-        if let Some(k) = limit_hint {
-            if rows.len() >= k {
-                rows.truncate(k);
-                break;
-            }
-        }
-        if exhausted {
-            break;
-        }
-    }
-    Ok(rows)
+/// Where a `BatchScanner` pulls records from. The current batch's rows
+/// are numbered `0..n`; columns are numbered like a scan row (early paths,
+/// then late paths).
+pub(crate) trait BatchSource {
+    type Error;
+
+    /// Move to the next batch of at most `want` (≥ 1) records and return
+    /// its length; 0 once the source is exhausted.
+    fn next_batch(&mut self, want: usize) -> Result<usize, Self::Error>;
+
+    /// Early column `col` of the current batch as a typed loop can read
+    /// it, or `None` when the source has no such view.
+    fn typed(&mut self, col: usize) -> Result<Option<TypedColumn<'_>>, Self::Error>;
+
+    /// A typed loop just refined `rows` selected rows of the batch.
+    fn note_typed_rows(&self, _rows: usize) {}
+
+    /// Append column `c`'s values at rows `sel` to `out[c]`, for each `c`
+    /// in `cols`. Each column is gathered at most once per batch, so a
+    /// source may move values out of its buffers.
+    fn gather(
+        &mut self,
+        cols: &[usize],
+        sel: &[u32],
+        out: &mut [Vec<Value>],
+    ) -> Result<(), Self::Error>;
 }
 
-/// Which buffer group an output column is materialized in.
+/// A batch column as a typed conjunct's loop reads it.
+pub(crate) enum TypedColumn<'a> {
+    /// Decoded values, one per row. The loop runs only when every selected
+    /// value has the constant's type.
+    Values(&'a [Value]),
+    /// Primitive values with per-row definition levels; a row without a
+    /// present value never passes.
+    I64 {
+        def: &'a [u8],
+        vals: &'a [i64],
+    },
+    F64 {
+        def: &'a [u8],
+        vals: &'a [f64],
+    },
+}
+
+/// Per-partition scan state — conjuncts, the selection vector and column
+/// buffers — reused across batches and across sources.
+pub(crate) struct BatchScanner<'a> {
+    /// Filter conjuncts (empty when the scan has no filter).
+    conjuncts: Vec<&'a Expr>,
+    /// Early columns, the only ones a filter may read.
+    early: usize,
+    sel: Vec<u32>,
+    /// One buffer per output column, aligned with `sel` once gathered.
+    cols: Vec<Vec<Value>>,
+    /// Row image for generic conjuncts; only the columns they read are set.
+    scratch: Vec<Value>,
+}
+
+impl<'a> BatchScanner<'a> {
+    pub(crate) fn new(scan: &'a ScanSpec) -> BatchScanner<'a> {
+        BatchScanner {
+            conjuncts: scan.filter.as_ref().map(split_conjuncts).unwrap_or_default(),
+            early: scan.paths.len(),
+            sel: Vec::new(),
+            cols: vec![Vec::new(); scan.width()],
+            scratch: vec![Value::Missing; scan.paths.len()],
+        }
+    }
+
+    /// Run the scan over `src`. Returns the surviving rows, at most `limit`.
+    pub(crate) fn run<S: BatchSource>(
+        &mut self,
+        src: &mut S,
+        limit: Option<usize>,
+        batch_size: usize,
+    ) -> Result<Vec<Row>, S::Error> {
+        let mut rows: Vec<Row> = Vec::new();
+        loop {
+            let room = limit.map_or(usize::MAX, |k| k.saturating_sub(rows.len()));
+            if room == 0 {
+                break;
+            }
+            // With no scan filter every pulled record survives, so a LIMIT
+            // caps the pull itself; with a filter we can only cap post-filter.
+            let want = if self.conjuncts.is_empty() { room } else { usize::MAX };
+            let n = src.next_batch(batch_size.max(1).min(want))?;
+            if n == 0 {
+                break;
+            }
+            self.process(src, n, &mut rows)?;
+        }
+        if let Some(k) = limit {
+            rows.truncate(k);
+        }
+        Ok(rows)
+    }
+
+    fn process<S: BatchSource>(
+        &mut self,
+        src: &mut S,
+        n: usize,
+        rows: &mut Vec<Row>,
+    ) -> Result<(), S::Error> {
+        self.sel.clear();
+        self.sel.extend(0..n as u32);
+        for col in &mut self.cols {
+            col.clear();
+        }
+
+        // ---- typed conjuncts first: they prune cheapest ----
+        let mut generic: Vec<&Expr> = Vec::new();
+        for &conjunct in &self.conjuncts {
+            if self.sel.is_empty() {
+                return Ok(());
+            }
+            let before = self.sel.len();
+            let refined = match typed_cmp_on(conjunct) {
+                Some((col, op, konst)) if col < self.early => {
+                    src.typed(col)?.is_some_and(|view| refine_typed(&mut self.sel, view, op, konst))
+                }
+                _ => false,
+            };
+            if refined {
+                src.note_typed_rows(before);
+            } else {
+                generic.push(conjunct);
+            }
+        }
+        if self.sel.is_empty() {
+            return Ok(());
+        }
+
+        // ---- generic leftovers over the scratch row ----
+        let mut read: Vec<usize> = generic.iter().flat_map(|c| c.referenced_cols()).collect();
+        read.retain(|&c| c < self.early);
+        read.sort_unstable();
+        read.dedup();
+        if !generic.is_empty() {
+            src.gather(&read, &self.sel, &mut self.cols)?;
+            // Each value is swapped into the scratch row and back, never
+            // cloned; survivors are compacted to the front in place.
+            let mut keep = 0;
+            for pos in 0..self.sel.len() {
+                for &c in &read {
+                    mem::swap(&mut self.scratch[c], &mut self.cols[c][pos]);
+                }
+                let pass = generic.iter().all(|e| e.eval_bool(&self.scratch));
+                for &c in &read {
+                    mem::swap(&mut self.scratch[c], &mut self.cols[c][pos]);
+                    if pass {
+                        self.cols[c].swap(keep, pos);
+                    }
+                }
+                if pass {
+                    self.sel[keep] = self.sel[pos];
+                    keep += 1;
+                }
+            }
+            self.sel.truncate(keep);
+            for &c in &read {
+                self.cols[c].truncate(keep);
+            }
+        }
+
+        // ---- materialize survivors ----
+        let rest: Vec<usize> = (0..self.cols.len()).filter(|c| !read.contains(c)).collect();
+        src.gather(&rest, &self.sel, &mut self.cols)?;
+        let cols = &mut self.cols;
+        rows.extend((0..self.sel.len()).map(|pos| -> Row {
+            cols.iter_mut().map(|col| mem::replace(&mut col[pos], Value::Missing)).collect()
+        }));
+        Ok(())
+    }
+}
+
+/// Which buffer group a decoded column lives in.
 #[derive(Clone, Copy)]
 enum Group {
     /// Decoded for every record in the batch (filter inputs).
@@ -98,47 +221,39 @@ enum Group {
     Lazy,
 }
 
-/// Per-partition batch state: column-set decoders, the selection vector,
-/// and scratch buffers, all reused across batches.
-struct BatchScanner<'a> {
-    /// Filter conjuncts (empty when the scan has no filter).
-    conjuncts: Vec<&'a Expr>,
+/// Records pulled from a partition's merged snapshot scan and decoded with
+/// the plan's [`AccessStrategy`]. The early columns the filter reads are
+/// decoded for the whole batch; everything else waits for the selection
+/// vector.
+pub(crate) struct DecodedSource<'s> {
+    iter: &'s mut MergedScan,
+    payloads: Vec<Vec<u8>>,
     eager: ColumnSet,
     lazy: ColumnSet,
+    /// Whether `lazy` holds the current batch's survivors.
+    lazy_ready: bool,
     /// Output column → (group, slot within the group), in row order.
     slots: Vec<(Group, usize)>,
-    /// Early column index → eager slot, for filter evaluation.
-    eager_of_early: Vec<Option<usize>>,
-    sel: Vec<u32>,
-    /// Reused row image for the generic (non-typed) filter fallback; width
-    /// = early columns, only filter-referenced slots are ever written.
-    scratch_row: Vec<Value>,
+    /// Records pulled and their stored bytes.
+    pub(crate) scanned: u64,
+    pub(crate) bytes: u64,
 }
 
-impl<'a> BatchScanner<'a> {
-    fn new(decoder: &RecordDecoder, scan: &'a ScanSpec) -> BatchScanner<'a> {
-        let conjuncts = match &scan.filter {
-            Some(pred) => split_conjuncts(pred),
-            None => Vec::new(),
-        };
-        // Early columns the filter reads are decoded eagerly; everything
-        // else (remaining early + all late) waits for the selection vector.
+impl<'s> DecodedSource<'s> {
+    pub(crate) fn new(
+        decoder: &RecordDecoder,
+        iter: &'s mut MergedScan,
+        scan: &ScanSpec,
+    ) -> DecodedSource<'s> {
+        let early = scan.paths.len();
         let eager_early: Vec<usize> = match &scan.filter {
-            Some(pred) => {
-                let mut cols = pred.referenced_cols();
-                cols.retain(|&c| c < scan.paths.len());
-                cols
-            }
-            None => (0..scan.paths.len()).collect(),
+            Some(pred) => pred.referenced_cols().into_iter().filter(|&c| c < early).collect(),
+            None => (0..early).collect(),
         };
-        let mut eager_of_early: Vec<Option<usize>> = vec![None; scan.paths.len()];
-        for (slot, &c) in eager_early.iter().enumerate() {
-            eager_of_early[c] = Some(slot);
-        }
         let mut slots: Vec<(Group, usize)> = Vec::with_capacity(scan.width());
         let mut lazy_paths: Vec<Path> = Vec::new();
-        for (i, p) in scan.paths.iter().enumerate() {
-            match eager_of_early[i] {
+        for (i, p) in scan.paths.iter().chain(&scan.late_paths).enumerate() {
+            match eager_early.iter().position(|&c| c == i) {
                 Some(slot) => slots.push((Group::Eager, slot)),
                 None => {
                     slots.push((Group::Lazy, lazy_paths.len()));
@@ -146,92 +261,78 @@ impl<'a> BatchScanner<'a> {
                 }
             }
         }
-        for p in &scan.late_paths {
-            slots.push((Group::Lazy, lazy_paths.len()));
-            lazy_paths.push(p.clone());
-        }
         let eager_paths: Vec<Path> = eager_early.iter().map(|&c| scan.paths[c].clone()).collect();
-        BatchScanner {
-            conjuncts,
+        DecodedSource {
+            iter,
+            payloads: Vec::new(),
             eager: ColumnSet::new(decoder, &eager_paths, scan.access),
             lazy: ColumnSet::new(decoder, &lazy_paths, scan.access),
+            lazy_ready: false,
             slots,
-            eager_of_early,
-            sel: Vec::new(),
-            scratch_row: vec![Value::Missing; scan.paths.len()],
+            scanned: 0,
+            bytes: 0,
         }
     }
+}
 
-    fn process_batch(&mut self, payloads: &[Vec<u8>], rows: &mut Vec<Row>) -> Result<(), AdmError> {
-        let n = payloads.len();
+impl BatchSource for DecodedSource<'_> {
+    type Error = AdmError;
+
+    fn next_batch(&mut self, want: usize) -> Result<usize, AdmError> {
+        self.payloads.clear();
+        while self.payloads.len() < want {
+            let Some((_, _, payload)) = self.iter.next() else { break };
+            self.scanned += 1;
+            self.bytes += payload.len() as u64;
+            self.payloads.push(payload);
+        }
         self.eager.clear();
         self.lazy.clear();
-        for p in payloads {
+        self.lazy_ready = false;
+        for p in &self.payloads {
             self.eager.append(p)?;
         }
-
-        self.sel.clear();
-        self.sel.extend(0..n as u32);
-        self.apply_filter();
-
-        for &r in &self.sel {
-            self.lazy.append(&payloads[r as usize])?;
-        }
-
-        let width = self.slots.len();
-        rows.reserve(self.sel.len());
-        for (pos, &r) in self.sel.iter().enumerate() {
-            let mut row: Row = Vec::with_capacity(width);
-            for &(group, slot) in &self.slots {
-                let v = match group {
-                    Group::Eager => {
-                        mem::replace(&mut self.eager.cols[slot][r as usize], Value::Missing)
-                    }
-                    Group::Lazy => mem::replace(&mut self.lazy.cols[slot][pos], Value::Missing),
-                };
-                row.push(v);
-            }
-            rows.push(row);
-        }
-        Ok(())
+        Ok(self.payloads.len())
     }
 
-    /// Refine the selection vector with every filter conjunct: typed
-    /// column-vs-constant loops first (they prune cheapest), then one pass
-    /// for the generic leftovers.
-    fn apply_filter(&mut self) {
-        if self.conjuncts.is_empty() {
-            return;
-        }
-        let mut generic: Vec<&Expr> = Vec::new();
-        for &conjunct in &self.conjuncts {
-            if self.sel.is_empty() {
-                return;
-            }
-            match typed_cmp(conjunct, &self.eager_of_early) {
-                Some((slot, op, konst)) => {
-                    let col = &self.eager.cols[slot];
-                    if !refine_typed(&mut self.sel, col, op, konst) {
-                        generic.push(conjunct);
+    fn typed(&mut self, col: usize) -> Result<Option<TypedColumn<'_>>, AdmError> {
+        Ok(match self.slots[col] {
+            (Group::Eager, slot) => Some(TypedColumn::Values(&self.eager.cols[slot])),
+            (Group::Lazy, _) => None,
+        })
+    }
+
+    fn gather(
+        &mut self,
+        cols: &[usize],
+        sel: &[u32],
+        out: &mut [Vec<Value>],
+    ) -> Result<(), AdmError> {
+        for &c in cols {
+            let (group, slot) = self.slots[c];
+            let buf = match group {
+                Group::Eager => &mut self.eager.cols[slot],
+                Group::Lazy => {
+                    if !self.lazy_ready {
+                        for &r in sel {
+                            self.lazy.append(&self.payloads[r as usize])?;
+                        }
+                        self.lazy_ready = true;
                     }
+                    &mut self.lazy.cols[slot]
                 }
-                None => generic.push(conjunct),
+            };
+            // Lazy buffers hold survivors only, and a selection as long as
+            // an eager buffer is all of it: either way the whole buffer goes.
+            if buf.len() == sel.len() {
+                mem::swap(&mut out[c], buf);
+            } else {
+                out[c].extend(
+                    sel.iter().map(|&r| mem::replace(&mut buf[r as usize], Value::Missing)),
+                );
             }
         }
-        if generic.is_empty() || self.sel.is_empty() {
-            return;
-        }
-        let scratch = &mut self.scratch_row;
-        let cols = &self.eager.cols;
-        let eager_of_early = &self.eager_of_early;
-        self.sel.retain(|&r| {
-            for (early, slot) in eager_of_early.iter().enumerate() {
-                if let Some(slot) = slot {
-                    scratch[early] = cols[*slot][r as usize].clone();
-                }
-            }
-            generic.iter().all(|c| c.eval_bool(scratch))
-        });
+        Ok(())
     }
 }
 
@@ -245,16 +346,11 @@ struct ColumnSet {
 
 impl ColumnSet {
     fn new(decoder: &RecordDecoder, paths: &[Path], access: AccessStrategy) -> ColumnSet {
-        let parts: Vec<PathBatch> = if paths.is_empty() {
-            Vec::new()
-        } else {
-            match access {
-                AccessStrategy::Consolidated => vec![decoder.batch(paths)],
-                AccessStrategy::PerPath => {
-                    paths.iter().map(|p| decoder.batch(std::slice::from_ref(p))).collect()
-                }
-            }
+        let per_part = match access {
+            AccessStrategy::Consolidated => paths.len().max(1),
+            AccessStrategy::PerPath => 1,
         };
+        let parts = paths.chunks(per_part).map(|part| decoder.batch(part)).collect();
         ColumnSet { parts, cols: vec![Vec::new(); paths.len()] }
     }
 
@@ -293,8 +389,7 @@ pub(crate) fn split_conjuncts(pred: &Expr) -> Vec<&Expr> {
 
 /// Recognize `col <op> const` (either orientation). Returns the scan
 /// column index, the op normalized to column-on-the-left, and the
-/// constant. Shared with the columnar fast path, which maps the column
-/// index onto typed column buffers instead of eager slots.
+/// constant.
 pub(crate) fn typed_cmp_on(conjunct: &Expr) -> Option<(usize, CmpOp, &Value)> {
     let Expr::Cmp { op, lhs, rhs } = conjunct else {
         return None;
@@ -304,16 +399,6 @@ pub(crate) fn typed_cmp_on(conjunct: &Expr) -> Option<(usize, CmpOp, &Value)> {
         (Expr::Const(c), Expr::Col(i)) => Some((*i, flip(*op), c)),
         _ => None,
     }
-}
-
-/// [`typed_cmp_on`] resolved to an eagerly decoded column's slot.
-fn typed_cmp<'e>(
-    conjunct: &'e Expr,
-    eager_of_early: &[Option<usize>],
-) -> Option<(usize, CmpOp, &'e Value)> {
-    let (col, op, konst) = typed_cmp_on(conjunct)?;
-    let slot = *eager_of_early.get(col)?;
-    slot.map(|s| (s, op, konst))
 }
 
 fn flip(op: CmpOp) -> CmpOp {
@@ -326,39 +411,41 @@ fn flip(op: CmpOp) -> CmpOp {
     }
 }
 
-/// Typed fast path: homogeneous `Int64` (or `Double`) column against a
-/// same-typed constant runs as a primitive comparison loop. Returns false
-/// when the column/constant isn't uniformly typed — the caller falls back
-/// to generic evaluation, preserving SQL++ mixed-type semantics exactly.
-fn refine_typed(sel: &mut Vec<u32>, col: &[Value], op: CmpOp, konst: &Value) -> bool {
-    match konst {
-        Value::Int64(k) => {
+/// Typed fast path: an `Int64` (or non-NaN `Double`) column against a
+/// same-typed constant runs as a primitive comparison loop. Returns false,
+/// leaving `sel` untouched, when the column or constant isn't uniformly
+/// typed — the caller falls back to generic evaluation, preserving SQL++
+/// mixed-type semantics exactly.
+fn refine_typed(sel: &mut Vec<u32>, col: TypedColumn<'_>, op: CmpOp, konst: &Value) -> bool {
+    match (col, konst) {
+        (TypedColumn::Values(col), &Value::Int64(k)) => {
             if !sel.iter().all(|&r| matches!(col[r as usize], Value::Int64(_))) {
                 return false;
             }
-            let k = *k;
-            sel.retain(|&r| match col[r as usize] {
-                Value::Int64(x) => cmp_prim(op, x, k),
-                _ => false,
-            });
-            true
+            sel.retain(|&r| matches!(col[r as usize], Value::Int64(x) if cmp_prim(op, x, k)));
         }
-        Value::Double(k) if !k.is_nan() => {
+        (TypedColumn::Values(col), &Value::Double(k)) if !k.is_nan() => {
             if !sel.iter().all(|&r| matches!(col[r as usize], Value::Double(x) if !x.is_nan())) {
                 return false;
             }
-            let k = *k;
-            sel.retain(|&r| match col[r as usize] {
-                Value::Double(x) => cmp_prim(op, x, k),
-                _ => false,
-            });
-            true
+            sel.retain(|&r| matches!(col[r as usize], Value::Double(x) if cmp_prim(op, x, k)));
         }
-        _ => false,
+        (TypedColumn::I64 { def, vals }, &Value::Int64(k)) => {
+            sel.retain(|&r| def[r as usize] == DEF_PRESENT && cmp_prim(op, vals[r as usize], k));
+        }
+        (TypedColumn::F64 { def, vals }, &Value::Double(k)) if !k.is_nan() => {
+            // A NaN value breaks primitive comparison semantics.
+            if sel.iter().any(|&r| def[r as usize] == DEF_PRESENT && vals[r as usize].is_nan()) {
+                return false;
+            }
+            sel.retain(|&r| def[r as usize] == DEF_PRESENT && cmp_prim(op, vals[r as usize], k));
+        }
+        _ => return false,
     }
+    true
 }
 
-pub(crate) fn cmp_prim<T: PartialOrd>(op: CmpOp, x: T, k: T) -> bool {
+fn cmp_prim<T: PartialOrd>(op: CmpOp, x: T, k: T) -> bool {
     match op {
         CmpOp::Eq => x == k,
         CmpOp::Ne => x != k,
@@ -393,7 +480,7 @@ mod tests {
         let col = vec![Value::Int64(1), Value::Int64(5), Value::Int64(9)];
         for op in [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge] {
             let mut sel: Vec<u32> = (0..col.len() as u32).collect();
-            assert!(refine_typed(&mut sel, &col, op, &Value::Int64(5)));
+            assert!(refine_typed(&mut sel, TypedColumn::Values(&col), op, &Value::Int64(5)));
             let pred = Expr::cmp(op, Expr::col(0), Expr::lit(5i64));
             let expected: Vec<u32> = (0..col.len() as u32)
                 .filter(|&r| pred.eval_bool(std::slice::from_ref(&col[r as usize])))
@@ -406,11 +493,11 @@ mod tests {
     fn mixed_typed_column_declines_fast_path() {
         let col = vec![Value::Int64(1), Value::Null, Value::Int64(9)];
         let mut sel: Vec<u32> = vec![0, 1, 2];
-        assert!(!refine_typed(&mut sel, &col, CmpOp::Lt, &Value::Int64(5)));
+        assert!(!refine_typed(&mut sel, TypedColumn::Values(&col), CmpOp::Lt, &Value::Int64(5)));
         assert_eq!(sel, vec![0, 1, 2], "declined refine must not touch sel");
         // But a selection that already excludes the nulls qualifies.
         let mut sel: Vec<u32> = vec![0, 2];
-        assert!(refine_typed(&mut sel, &col, CmpOp::Lt, &Value::Int64(5)));
+        assert!(refine_typed(&mut sel, TypedColumn::Values(&col), CmpOp::Lt, &Value::Int64(5)));
         assert_eq!(sel, vec![0]);
     }
 }

@@ -1,34 +1,34 @@
-//! The zero-pivot columnar scan.
+//! The amax batch source: zero-pivot reads of one at-rest columnar
+//! component.
 //!
 //! When a partition rests in the AMAX columnar layout (exactly one valid
 //! columnar component, nothing in memory — see
-//! [`tuple_compactor::Dataset::snapshot_columnar`]), the batched engine
-//! bypasses row reconstruction entirely: filter conjuncts over typed
-//! columns run as primitive loops straight over the decoded column
-//! buffers, row groups whose min/max stats cannot satisfy a conjunct are
-//! skipped without reading a single data page, and the residual column is
-//! decoded only for rows that survive the filter. No record is ever
-//! pivoted back into its row form — output values come from the typed
-//! buffers and targeted path evaluation over survivors' residuals.
+//! [`tuple_compactor::Dataset::snapshot_columnar`]), `AmaxSource` feeds
+//! the `BatchScanner` one row group per batch, straight from the column
+//! pages. Typed columns show their primitive buffers to the scanner's typed
+//! loops, row groups whose min/max stats cannot satisfy a typed conjunct
+//! are skipped without reading a data page, columns are faulted in only
+//! when the scanner asks, and the residual column is decoded only for the
+//! rows the scanner gathers. No record is pivoted back into its row form.
 //!
-//! The fast path is conservative: any shape it cannot answer *exactly*
-//! like the generic scan (whole-record paths, paths crossing a typed
-//! column's prefix, partitions not at rest) returns `None` and the caller
-//! falls back to [`crate::batch::scan_batched`]. Per-group type spills
-//! likewise demote affected conjuncts to generic evaluation, so SQL++
-//! mixed-type semantics (`2 == 2.0`) survive schema drift.
+//! The source is conservative: any shape it cannot answer *exactly* like
+//! the decoded source (whole-record paths, paths crossing a typed column's
+//! prefix) declines up front. A group whose typed column recorded type
+//! spills shows no typed view, so its conjuncts fall back to generic
+//! evaluation and SQL++ mixed-type semantics (`2 == 2.0`) survive schema
+//! drift.
 
 use tc_adm::path::{Path, PathStep};
-use tc_adm::{AdmError, TypeTag, Value};
-use tc_columnar::{ChunkReader, ColumnStats, ColumnValues, DecodedColumn, DEF_PRESENT};
+use tc_adm::{AdmError, Value};
+use tc_columnar::{ChunkReader, ColumnStats, ColumnValues, DecodedColumn};
 use tc_lsm::component::DiskComponent;
 use tc_storage::page_store::PageStore;
 use tc_storage::{BufferCache, StorageError};
 use tuple_compactor::Dataset;
 
-use crate::batch::{cmp_prim, split_conjuncts, typed_cmp_on};
+use crate::batch::{split_conjuncts, typed_cmp_on, BatchScanner, BatchSource, TypedColumn};
 use crate::exec::Row;
-use crate::expr::{CmpOp, Expr};
+use crate::expr::CmpOp;
 use crate::plan::ScanSpec;
 
 /// Where one scan output column comes from.
@@ -41,45 +41,115 @@ enum Slot {
     Residual(usize),
 }
 
-/// A conjunct compiled to a primitive loop over one typed column. `expr`
-/// is the original conjunct, for groups where the loop must demote to
-/// generic evaluation (spills, NaN values).
-struct TypedPred<'e> {
-    col: usize,
-    op: CmpOp,
-    konst: &'e Value,
-    expr: &'e Expr,
-}
-
-/// Per-group lazily faulted blocks, shared by the filter and emit phases.
-struct GroupIo<'c> {
-    reader: &'c ChunkReader,
-    store: &'c PageStore,
-    cache: &'c BufferCache,
-    component: &'c DiskComponent,
-    g: usize,
-    cols: Vec<Option<DecodedColumn>>,
-    residuals: Option<Vec<Vec<u8>>>,
-    bytes_read: u64,
-}
-
-/// A non-transient storage fault inside the fast path: the component is
-/// already quarantined; the caller abandons the fast path so the generic
-/// scan's health machinery applies the query's corruption policy.
-struct Degraded;
-
+/// Why an amax scan stopped.
 enum ScanFail {
+    /// A non-transient storage fault: the component is already
+    /// quarantined, and the caller re-runs the scan over the decoded
+    /// source, whose health machinery applies the query's corruption
+    /// policy.
     Degraded,
     Err(AdmError),
 }
 
-impl From<Degraded> for ScanFail {
-    fn from(_: Degraded) -> Self {
-        ScanFail::Degraded
+/// Run `scanner` over `ds`'s at-rest amax component. `Ok(None)` means "run
+/// the decoded source instead": the partition is not at rest, the scan
+/// shape is not covered, or a fault mid-scan quarantined the component.
+/// Otherwise returns the rows, records pulled and bytes faulted in.
+pub(crate) fn scan_at_rest(
+    ds: &Dataset,
+    scan: &ScanSpec,
+    scanner: &mut BatchScanner<'_>,
+    limit: Option<usize>,
+    batch_size: usize,
+) -> Result<Option<(Vec<Row>, u64, u64)>, AdmError> {
+    let Some((_, component)) = ds.snapshot_columnar() else {
+        return Ok(None);
+    };
+    let Some(mut src) = AmaxSource::new(ds, &component, scan) else {
+        return Ok(None);
+    };
+    match scanner.run(&mut src, limit, batch_size) {
+        Ok(rows) => Ok(Some((rows, src.scanned, src.bytes))),
+        Err(ScanFail::Degraded) => Ok(None),
+        Err(ScanFail::Err(e)) => Err(e),
     }
 }
 
-impl<'c> GroupIo<'c> {
+/// One columnar component read as batches of rows `lo..hi` of row group
+/// `g`; a batch never spans groups.
+struct AmaxSource<'a> {
+    reader: &'a ChunkReader,
+    store: &'a PageStore,
+    cache: &'a BufferCache,
+    component: &'a DiskComponent,
+    /// Output column → where its values live.
+    slots: Vec<Slot>,
+    residual_paths: Vec<Path>,
+    /// `col <op> const` conjuncts over typed early columns, as (typed
+    /// column, op, constant): the group-skip rules.
+    skips: Vec<(usize, CmpOp, &'a Value)>,
+    g: usize,
+    lo: usize,
+    hi: usize,
+    /// The current group's faulted-in blocks.
+    cols: Vec<Option<DecodedColumn>>,
+    residuals: Option<Vec<Vec<u8>>>,
+    /// Records handed out, and bytes faulted in.
+    scanned: u64,
+    bytes: u64,
+}
+
+impl<'a> AmaxSource<'a> {
+    /// `None` when the component has no columnar body or the scan reads a
+    /// path the layout cannot serve exactly.
+    fn new(
+        ds: &'a Dataset,
+        component: &'a DiskComponent,
+        scan: &'a ScanSpec,
+    ) -> Option<AmaxSource<'a>> {
+        let (chunk, store) = component.columnar_view()?;
+        let reader = chunk.as_any().downcast_ref::<ChunkReader>()?;
+        let mut slots: Vec<Slot> = Vec::with_capacity(scan.width());
+        let mut residual_paths: Vec<Path> = Vec::new();
+        for path in scan.paths.iter().chain(&scan.late_paths) {
+            match classify(reader, path)? {
+                Slot::Residual(_) => {
+                    slots.push(Slot::Residual(residual_paths.len()));
+                    residual_paths.push(path.clone());
+                }
+                slot => slots.push(slot),
+            }
+        }
+        let skips = scan
+            .filter
+            .iter()
+            .flat_map(split_conjuncts)
+            .filter_map(|conjunct| match typed_cmp_on(conjunct)? {
+                (col, op, konst) if col < scan.paths.len() => match slots[col] {
+                    Slot::Typed(c) => Some((c, op, konst)),
+                    Slot::Residual(_) => None,
+                },
+                _ => None,
+            })
+            .collect();
+        Some(AmaxSource {
+            reader,
+            store,
+            cache: ds.primary().cache(),
+            component,
+            slots,
+            residual_paths,
+            skips,
+            g: 0,
+            lo: 0,
+            hi: 0,
+            cols: vec![None; reader.columns().len()],
+            residuals: None,
+            scanned: 0,
+            bytes: 0,
+        })
+    }
+
     fn degrade(&self, e: StorageError) -> ScanFail {
         if e.is_transient() {
             ScanFail::Err(AdmError::storage(e.to_string(), true))
@@ -89,48 +159,42 @@ impl<'c> GroupIo<'c> {
         }
     }
 
-    /// Fault one typed column in (memoized for the group's lifetime).
+    /// Fault typed column `c` of the current group in (memoized).
     fn column(&mut self, c: usize) -> Result<&DecodedColumn, ScanFail> {
         if self.cols[c].is_none() {
-            match self.reader.read_column(self.store, self.cache, self.g, c) {
-                Ok(col) => {
-                    self.bytes_read += self.reader.groups()[self.g].cols[c].run.bytes as u64;
-                    self.cols[c] = Some(col);
-                }
-                Err(e) => return Err(self.degrade(e)),
-            }
+            let col = self
+                .reader
+                .read_column(self.store, self.cache, self.g, c)
+                .map_err(|e| self.degrade(e))?;
+            self.bytes += self.reader.groups()[self.g].cols[c].run.bytes as u64;
+            self.cols[c] = Some(col);
         }
         Ok(self.cols[c].as_ref().expect("just faulted"))
     }
 
-    /// Fault the group's residual rows in (memoized).
-    fn residual(&mut self) -> Result<&[Vec<u8>], ScanFail> {
+    /// Evaluate `paths` against group row `r`'s residual record.
+    fn residual_values(&mut self, r: usize, paths: &[Path]) -> Result<Vec<Value>, ScanFail> {
         if self.residuals.is_none() {
-            match self.reader.read_residual(self.store, self.cache, self.g) {
-                Ok(res) => {
-                    self.bytes_read += self.reader.groups()[self.g].residual.bytes as u64;
-                    self.residuals = Some(res);
-                }
-                Err(e) => return Err(self.degrade(e)),
-            }
+            let res = self
+                .reader
+                .read_residual(self.store, self.cache, self.g)
+                .map_err(|e| self.degrade(e))?;
+            self.bytes += self.reader.groups()[self.g].residual.bytes as u64;
+            self.residuals = Some(res);
         }
-        Ok(self.residuals.as_ref().expect("just faulted"))
-    }
-
-    /// Evaluate `paths` against row `r`'s residual record.
-    fn residual_values(&mut self, r: u32, paths: &[Path]) -> Result<Vec<Value>, ScanFail> {
-        let bytes = &self.residual()?[r as usize];
+        let bytes = &self.residuals.as_ref().expect("just faulted")[r];
         tc_vector::get_values(bytes, paths, None, None).map_err(|_| {
             self.component.quarantine();
             ScanFail::Degraded
         })
     }
 
-    /// One row's value from typed column `c`, falling back to the residual
-    /// when the group recorded spills (the mismatched value lives there).
-    fn typed_value(&mut self, c: usize, r: u32) -> Result<Value, ScanFail> {
+    /// Group row `r`'s value in typed column `c`, falling back to the
+    /// residual when the group recorded spills (the mismatched value lives
+    /// there).
+    fn typed_value(&mut self, c: usize, r: usize) -> Result<Value, ScanFail> {
         let spilled = self.reader.groups()[self.g].cols[c].spilled;
-        let v = self.column(c)?.value_at(r as usize);
+        let v = self.column(c)?.value_at(r);
         if !matches!(v, Value::Missing) || spilled == 0 {
             return Ok(v);
         }
@@ -139,248 +203,94 @@ impl<'c> GroupIo<'c> {
     }
 }
 
-/// Try the columnar fast scan. `Ok(None)` means "not covered — run the
-/// generic scan instead": either the shape disqualifies up front, or a
-/// storage fault mid-scan quarantined the component (PR 8's degradation
-/// contract), in which case the generic path sees the quarantined
-/// component and applies the query's corruption policy.
-pub(crate) fn try_scan_columnar(
-    ds: &Dataset,
-    scan: &ScanSpec,
-    limit_hint: Option<usize>,
-    scanned: &mut u64,
-    bytes: &mut u64,
-) -> Result<Option<Vec<Row>>, AdmError> {
-    let Some((_, component)) = ds.snapshot_columnar() else {
-        return Ok(None);
-    };
-    let component = component.as_ref();
-    let Some((chunk, store)) = component.columnar_view() else {
-        return Ok(None);
-    };
-    let Some(reader) = chunk.as_any().downcast_ref::<ChunkReader>() else {
-        return Ok(None);
-    };
+impl BatchSource for AmaxSource<'_> {
+    type Error = ScanFail;
 
-    // ---- classify every output path ----
-    let mut slots: Vec<Slot> = Vec::with_capacity(scan.width());
-    let mut residual_paths: Vec<Path> = Vec::new();
-    for path in scan.paths.iter().chain(&scan.late_paths) {
-        match classify(reader, path) {
-            Some(Slot::Residual(_)) => {
-                slots.push(Slot::Residual(residual_paths.len()));
-                residual_paths.push(path.clone());
-            }
-            Some(slot) => slots.push(slot),
-            None => return Ok(None),
-        }
-    }
-    let early = scan.paths.len();
-
-    // ---- compile the filter ----
-    let conjuncts = match &scan.filter {
-        Some(pred) => split_conjuncts(pred),
-        None => Vec::new(),
-    };
-    let mut typed: Vec<TypedPred<'_>> = Vec::new();
-    let mut generic: Vec<&Expr> = Vec::new();
-    for expr in conjuncts {
-        match typed_cmp_on(expr) {
-            Some((col, op, konst)) if col < early => match (slots[col], konst) {
-                (Slot::Typed(c), Value::Int64(_)) if reader.columns()[c].tag == TypeTag::Int64 => {
-                    typed.push(TypedPred { col: c, op, konst, expr });
-                }
-                (Slot::Typed(c), Value::Double(k))
-                    if reader.columns()[c].tag == TypeTag::Double && !k.is_nan() =>
-                {
-                    typed.push(TypedPred { col: c, op, konst, expr });
-                }
-                _ => generic.push(expr),
-            },
-            _ => generic.push(expr),
-        }
-    }
-
-    match scan_groups(
-        reader,
-        store,
-        ds,
-        component,
-        scan,
-        &slots,
-        &residual_paths,
-        &typed,
-        &generic,
-        limit_hint,
-    ) {
-        Ok((rows, row_scanned, bytes_read)) => {
-            *scanned += row_scanned;
-            *bytes += bytes_read;
-            Ok(Some(rows))
-        }
-        Err(ScanFail::Degraded) => Ok(None),
-        Err(ScanFail::Err(e)) => Err(e),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn scan_groups(
-    reader: &ChunkReader,
-    store: &PageStore,
-    ds: &Dataset,
-    component: &DiskComponent,
-    scan: &ScanSpec,
-    slots: &[Slot],
-    residual_paths: &[Path],
-    typed: &[TypedPred<'_>],
-    generic: &[&Expr],
-    limit_hint: Option<usize>,
-) -> Result<(Vec<Row>, u64, u64), ScanFail> {
-    let cache = ds.primary().cache();
-    let counters = reader.counters();
-    let page_size = store.page_size();
-    let early = scan.paths.len();
-    let mut rows: Vec<Row> = Vec::new();
-    let mut row_scanned = 0u64;
-    let mut bytes_read = 0u64;
-
-    'groups: for g in 0..reader.groups().len() {
-        let gm = &reader.groups()[g];
-
-        // ---- stats-based group skip (Fig 24-style) ----
-        // Sound only for spill-free columns: a spilled value matches under
-        // numeric promotion without appearing in the stats.
-        for p in typed {
-            let meta = &gm.cols[p.col];
-            if meta.spilled == 0 && !stats_may_match(&meta.stats, p.op, p.konst) {
-                counters.note_pages_skipped(reader.group_pages(g, page_size));
-                continue 'groups;
-            }
-        }
-
-        // With any filter conjunct, every row of the group runs through a
-        // loop; a filterless scan only "scans" the rows the assembly loop
-        // actually visits (a LIMIT may stop it mid-group).
-        let has_filter = !(typed.is_empty() && generic.is_empty());
-        if has_filter {
-            row_scanned += gm.rows as u64;
-        }
-        let mut sel: Vec<u32> = (0..gm.rows).collect();
-        let mut io = GroupIo {
-            reader,
-            store,
-            cache,
-            component,
-            g,
-            cols: vec![None; reader.columns().len()],
-            residuals: None,
-            bytes_read: 0,
-        };
-        let mut group_generic: Vec<&Expr> = generic.to_vec();
-
-        // ---- typed primitive filter loops ----
-        for p in typed {
-            if sel.is_empty() {
-                break;
-            }
-            // Spilled values live in the residual with a different type;
-            // the primitive loop cannot see them. Demote for this group.
-            if gm.cols[p.col].spilled > 0 {
-                group_generic.push(p.expr);
-                continue;
-            }
-            let col = io.column(p.col)?;
-            match (&col.values, p.konst) {
-                (ColumnValues::I64(vals), Value::Int64(k)) => {
-                    counters.note_typed_filter_rows(sel.len() as u64);
-                    let (k, def) = (*k, &col.def);
-                    sel.retain(|&r| {
-                        def[r as usize] == DEF_PRESENT && cmp_prim(p.op, vals[r as usize], k)
-                    });
-                }
-                (ColumnValues::F64(vals), Value::Double(k)) => {
-                    // NaN breaks primitive comparison semantics; hand those
-                    // groups to the generic evaluator.
-                    if sel
-                        .iter()
-                        .any(|&r| col.def[r as usize] == DEF_PRESENT && vals[r as usize].is_nan())
-                    {
-                        group_generic.push(p.expr);
-                        continue;
-                    }
-                    counters.note_typed_filter_rows(sel.len() as u64);
-                    let (k, def) = (*k, &col.def);
-                    sel.retain(|&r| {
-                        def[r as usize] == DEF_PRESENT && cmp_prim(p.op, vals[r as usize], k)
-                    });
-                }
-                _ => return Err(ScanFail::Degraded), // index/column disagree
-            }
-        }
-
-        // ---- generic conjuncts over a scratch row of early columns ----
-        if !group_generic.is_empty() && !sel.is_empty() {
-            let mut refd: Vec<usize> =
-                group_generic.iter().flat_map(|c| c.referenced_cols()).collect();
-            refd.sort_unstable();
-            refd.dedup();
-            refd.retain(|&i| i < early);
-            let refd_residual: Vec<(usize, Path)> = refd
-                .iter()
-                .filter_map(|&i| match slots[i] {
-                    Slot::Residual(j) => Some((i, residual_paths[j].clone())),
-                    Slot::Typed(_) => None,
-                })
-                .collect();
-            let res_paths: Vec<Path> = refd_residual.iter().map(|(_, p)| p.clone()).collect();
-            let mut scratch: Vec<Value> = vec![Value::Missing; early];
-            let mut keep: Vec<u32> = Vec::with_capacity(sel.len());
-            for &r in &sel {
-                for &i in &refd {
-                    if let Slot::Typed(c) = slots[i] {
-                        scratch[i] = io.typed_value(c, r)?;
-                    }
-                }
-                if !res_paths.is_empty() {
-                    let vals = io.residual_values(r, &res_paths)?;
-                    for ((i, _), v) in refd_residual.iter().zip(vals) {
-                        scratch[*i] = v;
-                    }
-                }
-                if group_generic.iter().all(|c| c.eval_bool(&scratch)) {
-                    keep.push(r);
-                }
-            }
-            sel = keep;
-        }
-
-        // ---- assemble survivor rows ----
-        for &r in &sel {
-            if !has_filter {
-                row_scanned += 1;
-            }
-            let res_row: Vec<Value> = if residual_paths.is_empty() {
-                Vec::new()
-            } else {
-                io.residual_values(r, residual_paths)?
+    fn next_batch(&mut self, want: usize) -> Result<usize, ScanFail> {
+        let groups = self.reader.groups();
+        loop {
+            let Some(gm) = groups.get(self.g) else {
+                return Ok(0);
             };
-            let mut row: Row = Vec::with_capacity(slots.len());
-            for slot in slots {
-                row.push(match slot {
-                    Slot::Typed(c) => io.typed_value(*c, r)?,
-                    Slot::Residual(i) => res_row[*i].clone(),
+            let rows = gm.rows as usize;
+            // Stats-based group skip (Fig 24-style), judged on entry. Sound
+            // only for spill-free columns: a spilled value matches under
+            // numeric promotion without appearing in the stats.
+            let ruled_out = self.hi == 0
+                && self.skips.iter().any(|&(c, op, konst)| {
+                    gm.cols[c].spilled == 0 && !stats_may_match(&gm.cols[c].stats, op, konst)
                 });
+            if ruled_out {
+                let pages = self.reader.group_pages(self.g, self.store.page_size());
+                self.reader.counters().note_pages_skipped(pages);
+            } else if self.hi < rows {
+                self.lo = self.hi;
+                self.hi = rows.min(self.lo + want);
+                self.scanned += (self.hi - self.lo) as u64;
+                return Ok(self.hi - self.lo);
             }
-            rows.push(row);
-            if limit_hint.is_some_and(|k| rows.len() >= k) {
-                bytes_read += io.bytes_read;
-                return Ok((rows, row_scanned, bytes_read));
-            }
+            self.g += 1;
+            self.hi = 0;
+            self.cols.iter_mut().for_each(|c| *c = None);
+            self.residuals = None;
         }
-        bytes_read += io.bytes_read;
     }
 
-    Ok((rows, row_scanned, bytes_read))
+    fn typed(&mut self, col: usize) -> Result<Option<TypedColumn<'_>>, ScanFail> {
+        let Slot::Typed(c) = self.slots[col] else {
+            return Ok(None);
+        };
+        // Spilled values live in the residual with a different type; the
+        // primitive loop cannot see them.
+        if self.reader.groups()[self.g].cols[c].spilled > 0 {
+            return Ok(None);
+        }
+        let (lo, hi) = (self.lo, self.hi);
+        let col = self.column(c)?;
+        let def = &col.def[lo..hi];
+        Ok(match &col.values {
+            ColumnValues::I64(v) => Some(TypedColumn::I64 { def, vals: &v[lo..hi] }),
+            ColumnValues::F64(v) => Some(TypedColumn::F64 { def, vals: &v[lo..hi] }),
+            _ => None,
+        })
+    }
+
+    fn note_typed_rows(&self, rows: usize) {
+        self.reader.counters().note_typed_filter_rows(rows as u64);
+    }
+
+    fn gather(
+        &mut self,
+        cols: &[usize],
+        sel: &[u32],
+        out: &mut [Vec<Value>],
+    ) -> Result<(), ScanFail> {
+        let mut paths: Vec<Path> = Vec::new();
+        let mut targets: Vec<usize> = Vec::new();
+        for &c in cols {
+            match self.slots[c] {
+                Slot::Typed(t) => {
+                    for &r in sel {
+                        let v = self.typed_value(t, self.lo + r as usize)?;
+                        out[c].push(v);
+                    }
+                }
+                Slot::Residual(j) => {
+                    paths.push(self.residual_paths[j].clone());
+                    targets.push(c);
+                }
+            }
+        }
+        if !paths.is_empty() {
+            for &r in sel {
+                let vals = self.residual_values(self.lo + r as usize, &paths)?;
+                for (&c, v) in targets.iter().zip(vals) {
+                    out[c].push(v);
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Map a scan path onto its source. `None` = unsupported shape (whole
@@ -415,11 +325,14 @@ fn classify(reader: &ChunkReader, path: &Path) -> Option<Slot> {
 /// by the group's min/max stats? Non-present rows never pass a comparison
 /// (SQL++ null/missing semantics), so `false` skips the group outright.
 /// `ColumnStats::None` is inconclusive — it covers both "no present
-/// values" and "stats poisoned by NaN" — so it never skips.
+/// values" and "stats poisoned by NaN" — so it never skips, and neither
+/// does a NaN constant or one of another type.
 fn stats_may_match(stats: &ColumnStats, op: CmpOp, konst: &Value) -> bool {
     match (stats, konst) {
         (ColumnStats::Int { min, max }, Value::Int64(k)) => range_may_match(*min, *max, op, *k),
-        (ColumnStats::Float { min, max }, Value::Double(k)) => range_may_match(*min, *max, op, *k),
+        (ColumnStats::Float { min, max }, Value::Double(k)) if !k.is_nan() => {
+            range_may_match(*min, *max, op, *k)
+        }
         _ => true,
     }
 }

@@ -17,7 +17,8 @@ use tc_util::hash::FxHashMap;
 use tuple_compactor::{Dataset, RecordDecoder};
 
 use crate::agg::{Agg, AggState};
-use crate::batch;
+use crate::batch::{self, BatchScanner, DecodedSource};
+use crate::columnar;
 use crate::expr::Expr;
 use crate::plan::{AccessStrategy, Op, Query, ScanSpec};
 
@@ -273,15 +274,13 @@ fn run_partition(
     opts: &ExecOptions,
 ) -> Result<(LocalOutput, u64, u64, u64), AdmError> {
     let limit_hint = scan_limit_hint(local_ops, blocking);
-    let mut scanned = 0u64;
-    let mut bytes = 0u64;
-    // A partition resting in the columnar layout can answer batched scans
-    // without pivoting records back into rows at all; `None` (shape not
-    // covered, partition not at rest, or a fault mid-scan) falls through to
-    // the generic snapshot scan.
+    let mut scanner = BatchScanner::new(scan);
+    // A partition resting in one amax component is read from its column
+    // pages; `None` (not at rest, shape not covered, or a fault mid-scan)
+    // falls through to the decoded snapshot scan.
     if opts.engine == Engine::Batched {
-        if let Some(rows) =
-            crate::columnar::try_scan_columnar(ds, scan, limit_hint, &mut scanned, &mut bytes)?
+        if let Some((rows, scanned, bytes)) =
+            columnar::scan_at_rest(ds, scan, &mut scanner, limit_hint, opts.batch_size)?
         {
             return finish_partition(rows, local_ops, blocking, scanned, bytes, 0);
         }
@@ -290,17 +289,13 @@ fn run_partition(
     // running, a decoder taken separately could miss dictionary codes the
     // scan's records need (or carry prunes ahead of the snapshot).
     let (decoder, mut iter) = ds.snapshot_scan();
-    let rows = match opts.engine {
-        Engine::Batched => batch::scan_batched(
-            &decoder,
-            &mut iter,
-            scan,
-            limit_hint,
-            opts.batch_size,
-            &mut scanned,
-            &mut bytes,
-        )?,
-        Engine::Row => scan_rows(&decoder, &mut iter, scan, limit_hint, &mut scanned, &mut bytes)?,
+    let (rows, scanned, bytes) = match opts.engine {
+        Engine::Batched => {
+            let mut src = DecodedSource::new(&decoder, &mut iter, scan);
+            let rows = scanner.run(&mut src, limit_hint, opts.batch_size)?;
+            (rows, src.scanned, src.bytes)
+        }
+        Engine::Row => scan_rows(&decoder, &mut iter, scan, limit_hint)?,
     };
     // Post-scan health check: the merged scan degrades (skips quarantined
     // components, stops a source at the first checksum failure) instead of
@@ -316,7 +311,7 @@ fn run_partition(
 }
 
 /// Local operator pipeline + the local side of the blocking operator,
-/// shared by the columnar fast scan and the generic snapshot scan.
+/// whichever source the scan read.
 fn finish_partition(
     mut rows: Vec<Row>,
     local_ops: &[Op],
@@ -364,19 +359,19 @@ fn scan_limit_hint(local_ops: &[Op], blocking: Option<&Op>) -> Option<usize> {
 }
 
 /// The row-at-a-time scan: materialize every early column per record, then
-/// filter, then late columns for survivors.
+/// filter, then late columns for survivors. Returns the rows, records
+/// pulled and their bytes.
 fn scan_rows(
     decoder: &RecordDecoder,
     iter: &mut tc_lsm::iter::MergedScan,
     scan: &ScanSpec,
     limit_hint: Option<usize>,
-    scanned: &mut u64,
-    bytes: &mut u64,
-) -> Result<Vec<Row>, AdmError> {
-    let mut rows: Vec<Row> = Vec::new();
-    while let Some((_, _, payload)) = iter.next() {
-        *scanned += 1;
-        *bytes += payload.len() as u64;
+) -> Result<(Vec<Row>, u64, u64), AdmError> {
+    let (mut rows, mut scanned, mut bytes) = (Vec::new(), 0, 0);
+    while limit_hint.is_none_or(|k| rows.len() < k) {
+        let Some((_, _, payload)) = iter.next() else { break };
+        scanned += 1;
+        bytes += payload.len() as u64;
         let mut row = extract(decoder, &payload, &scan.paths, scan.access)?;
         if let Some(pred) = &scan.filter {
             if !pred.eval_bool(&row) {
@@ -387,11 +382,8 @@ fn scan_rows(
             row.extend(extract(decoder, &payload, &scan.late_paths, scan.access)?);
         }
         rows.push(row);
-        if limit_hint.is_some_and(|k| rows.len() >= k) {
-            break;
-        }
     }
-    Ok(rows)
+    Ok((rows, scanned, bytes))
 }
 
 /// Evaluate scan paths against one record's stored bytes.
@@ -696,22 +688,34 @@ mod tests {
     #[test]
     fn limit_is_global_across_partitions() {
         // Regression: LIMIT k used to truncate per-partition only, so
-        // LIMIT 10 over 4 partitions returned up to 40 rows.
-        let ds = partitioned_dataset(StorageFormat::Inferred, 4, 100);
-        let q = Query {
-            scan: ScanSpec::all_early(vec![parse_path("id")], AccessStrategy::Consolidated),
-            ops: vec![Op::Limit(10)],
-        };
-        for engine in [Engine::Batched, Engine::Row] {
-            let res = execute(&refs(&ds), &q, &ExecOptions::with_engine(engine)).unwrap();
-            assert_eq!(res.rows.len(), 10, "{engine:?}");
-            // The LIMIT hint reaches the scan: no partition drains its
-            // snapshot past what the limit can need.
-            assert!(
-                res.stats.rows_scanned <= 40,
-                "{engine:?}: scanned {} rows for LIMIT 10 over 4 partitions",
-                res.stats.rows_scanned
-            );
+        // LIMIT 10 over 4 partitions returned up to 40 rows. And LIMIT 0
+        // used to read one record per partition on the row engine and the
+        // amax scan.
+        for format in [StorageFormat::Inferred, StorageFormat::Columnar] {
+            let ds = partitioned_dataset(format, 4, 100);
+            let at_rest = ds.iter().all(|d| d.snapshot_columnar().is_some());
+            assert_eq!(at_rest, format == StorageFormat::Columnar, "amax source must be in play");
+            for k in [0, 10] {
+                let q = Query {
+                    scan: ScanSpec::all_early(vec![parse_path("id")], AccessStrategy::Consolidated),
+                    ops: vec![Op::Limit(k)],
+                };
+                let run = |engine| execute(&refs(&ds), &q, &ExecOptions::with_engine(engine));
+                let (batched, row) = (run(Engine::Batched).unwrap(), run(Engine::Row).unwrap());
+                for res in [&batched, &row] {
+                    assert_eq!(res.rows.len(), k, "{format:?} LIMIT {k}");
+                    // The LIMIT hint reaches the scan: no partition drains
+                    // its snapshot past what the limit can need.
+                    assert!(res.stats.rows_scanned <= 4 * k as u64, "{format:?} LIMIT {k}");
+                }
+                assert_eq!(
+                    batched.stats.rows_scanned, row.stats.rows_scanned,
+                    "{format:?} LIMIT {k}: engines disagree on records read"
+                );
+                if k == 0 {
+                    assert_eq!(batched.stats.rows_scanned, 0, "{format:?}: LIMIT 0 reads nothing");
+                }
+            }
         }
     }
 

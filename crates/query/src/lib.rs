@@ -14,10 +14,11 @@
 //! * [`exec`] — the executor: per-partition pipelines (optionally on
 //!   threads), a coordinator merging blocking operators, and the **schema
 //!   broadcast** accounting for queries with non-local exchanges (§3.4.1);
-//! * [`batch`] — the batched scan: chunked scan → filter → project with
-//!   column buffers, a selection vector, and lazy decode;
-//! * [`columnar`] — the zero-pivot scan over AMAX columnar components:
-//!   typed filter loops straight over column pages, min/max group
+//! * [`batch`] — the batched scan: one scan → filter → project loop with
+//!   column buffers and a selection vector, over a batch source — decoded
+//!   snapshot records, with lazy decode for survivors;
+//! * [`columnar`] — the other batch source, one at-rest AMAX columnar
+//!   component: typed columns straight from their pages, min/max group
 //!   skipping, residual decode for survivors only;
 //! * [`paper_queries`] — builders for Twitter Q1–Q4, WoS Q1–Q4, Sensors
 //!   Q1–Q4, and the Fig 22 field-position probes.
